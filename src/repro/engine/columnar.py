@@ -62,6 +62,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 from repro import failpoints
 from repro.constraints.atoms import Op
+from repro.engine.cluster import ClusterRows
 from repro.engine.table import Schema
 from repro.errors import ColumnarFormatError
 from repro.pattern.kernels import (
@@ -123,7 +124,7 @@ def vector_backend_active() -> bool:
 
 
 # ----------------------------------------------------------------------
-# Column store (per-cluster, transient)
+# Column store (per cluster; cached with the sorted clusters)
 # ----------------------------------------------------------------------
 
 
@@ -160,16 +161,23 @@ class _Column:
         computation bit-for-bit.  Ints (arbitrary precision), dates,
         strings, and missing cells stay on the Python kernels.
         """
+        if np is None or not self.floats_only:
+            return None
         if self._f8 is _MISSING:
-            if np is None or not self.floats_only:
-                self._f8 = None
-            else:
-                self._f8 = np.asarray(self.values, dtype=np.float64)
+            array = np.asarray(self.values, dtype=np.float64)
+            array.flags.writeable = False  # shared by every cached query
+            self._f8 = array
         return self._f8
 
 
 class ColumnStore:
-    """Lazily-built columns over one cluster's rows."""
+    """Lazily-built columns over one cluster's rows.
+
+    Rows from the cluster cache (:class:`~repro.engine.cluster.ClusterRows`)
+    carry their own store, which :func:`column_store` hands out, so a
+    resident table extracts each column (and its float64 array) once per
+    table version instead of once per query.
+    """
 
     __slots__ = ("rows", "n", "_columns")
 
@@ -184,6 +192,13 @@ class ColumnStore:
             column = _Column(self.rows, name)
             self._columns[name] = column
         return column
+
+
+def column_store(rows: Sequence) -> ColumnStore:
+    """The cached store of cluster-cache rows, else a throwaway one."""
+    if isinstance(rows, ClusterRows):
+        return rows.store
+    return ColumnStore(rows)
 
 
 # ----------------------------------------------------------------------
@@ -279,13 +294,14 @@ def materialize_kernels(
     caller then runs the plain row path.  ``backend`` is ``"auto"``
     (numpy when available), ``"numpy"`` (numpy where eligible, Python
     otherwise), or ``"python"`` (scalar kernels only — the backend the
-    differential suite forces to cover both).
+    differential suite forces to cover both).  Columns come from
+    :func:`column_store`.
     """
     plan = compiled.kernel_plan
     if plan.lowered == 0:
         return None
     np = numpy_backend() if backend in ("auto", "numpy") else None
-    store = ColumnStore(rows)
+    store = column_store(rows)
     n = store.n
     memo: dict[ElementKernel, Optional[bytes]] = {}
     truth: list[Optional[bytes]] = []
@@ -321,13 +337,14 @@ def first_element_candidates(compiled, rows: Sequence) -> Optional[int]:
     The parallel splitter (:func:`repro.engine.parallel.split_partitions`)
     can weight partitions by how many positions survive the first
     element's kernel instead of by raw row count.  Returns None when no
-    element lowers or materialization declines.
+    element lowers or materialization declines.  Columns come from
+    :func:`column_store`, so the kernels run afterwards reuse them.
     """
     plan = compiled.kernel_plan
     for kernel in plan.elements:
         if kernel is None:
             continue
-        store = ColumnStore(rows)
+        store = column_store(rows)
         try:
             built, _ = _element_truth(kernel, store, store.n, numpy_backend())
         except Exception:
@@ -691,26 +708,33 @@ class ColumnarTable:
     """A table read from a columnar file via ``mmap``.
 
     Duck-compatible with :class:`~repro.engine.table.Table` everywhere
-    the engine reads one: ``name``, ``schema``, ``__iter__`` /
-    ``__len__`` over row mappings, and a ``rows`` list.  Column data
-    stays in the mapping until a cell is touched.
+    the engine reads one: ``name``, ``schema``, ``version``,
+    ``__iter__`` / ``__len__`` over row mappings, and a read-only
+    ``rows`` tuple.  Column data stays in the mapping until a cell is
+    touched.  The rows never change, so ``version`` only moves on
+    :meth:`close`, which drops the memoized clusters with it.
     """
 
-    __slots__ = ("name", "schema", "_columns", "_length", "_mmap", "_file", "_rows")
+    __slots__ = (
+        "name", "schema", "version", "_cluster_memo", "_columns", "_length",
+        "_mmap", "_file", "_rows",
+    )
 
     def __init__(self, name, schema, columns, length, mapped, handle):
         self.name = name
         self.schema = schema
+        self.version = 0
+        self._cluster_memo = None  # owned by repro.engine.cluster
         self._columns = columns
         self._length = length
         self._mmap = mapped
         self._file = handle
-        self._rows: Optional[list[RowView]] = None
+        self._rows: Optional[tuple[RowView, ...]] = None
 
     @property
-    def rows(self) -> list[RowView]:
+    def rows(self) -> tuple[RowView, ...]:
         if self._rows is None:
-            self._rows = [RowView(self, i) for i in range(self._length)]
+            self._rows = tuple(RowView(self, i) for i in range(self._length))
         return self._rows
 
     def __len__(self) -> int:
@@ -721,6 +745,8 @@ class ColumnarTable:
 
     def close(self) -> None:
         """Release the mapping (reads after close raise)."""
+        self.version += 1
+        self._cluster_memo = None
         self._rows = None
         self._columns = {}
         self._mmap.close()

@@ -6,9 +6,14 @@ configured matcher via the UDA substrate → evaluate the SELECT items on
 each match.
 
 The matcher is pluggable (``"ops"`` — the default, star-capable OPS
-runtime — or ``"naive"``), and an :class:`~repro.match.base.Instrumentation`
-can be threaded through to count predicate evaluations, which is how the
-benchmark harness reproduces the paper's speedup numbers.
+runtime — or ``"naive"``).  Predicate tests, the paper's cost measure,
+are counted only on request: pass an
+:class:`~repro.match.base.Instrumentation` or a ``trace``, or call
+:meth:`Executor.execute_with_report`, which always counts.  A plain
+:meth:`Executor.execute` runs the matchers' uncounted loops, which find
+the same matches faster.  Sorted clusters and their column stores are
+memoized per table version (:func:`repro.engine.cluster.sorted_clusters`),
+so a query against a resident table does not re-sort it.
 
 Resilience (see ``docs/resilience.md``): an
 :class:`~repro.resilience.ErrorPolicy` and
@@ -29,7 +34,7 @@ import time
 from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Optional, Tuple, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.engine.aggregates import PatternSearchAggregate, apply_aggregate
 from repro.engine.catalog import Catalog
@@ -218,7 +223,15 @@ class Executor:
         cancel: Optional[Callable[[], Optional[str]]] = None,
         trace: Optional[Trace] = None,
     ) -> Result:
-        result, _ = self.execute_with_report(
+        """Execute ``query`` and return its :class:`Result`.
+
+        Predicate tests are counted only when asked for: into
+        ``instrumentation`` when one is passed, and for the profile when
+        ``trace`` is.  Otherwise no test is counted and the matchers run
+        their uncounted loops; the result is the same either way.  The
+        other arguments are as for :meth:`execute_with_report`.
+        """
+        result, _ = self._execute(
             query,
             instrumentation,
             workers=workers,
@@ -238,7 +251,11 @@ class Executor:
         cancel: Optional[Callable[[], Optional[str]]] = None,
         trace: Optional[Trace] = None,
     ) -> tuple[Result, ExecutionReport]:
-        """Execute ``query``, serially or partition-parallel.
+        """Execute ``query``, serially or partition-parallel, with a report.
+
+        This call always counts predicate tests: into ``instrumentation``,
+        or into a fresh one when it is None, and
+        ``report.predicate_tests`` carries the total.
 
         ``workers`` overrides the executor-level worker count for this
         call.  ``workers=1`` (the default) is exactly the seed's serial
@@ -264,6 +281,27 @@ class Executor:
         traced code paths are never entered — output is byte-identical
         either way (asserted by ``repro.bench.obs_overhead``).
         """
+        return self._execute(
+            query,
+            instrumentation if instrumentation is not None else Instrumentation(),
+            workers=workers,
+            limits=limits,
+            cancel=cancel,
+            trace=trace,
+        )
+
+    def _execute(
+        self,
+        query: Union[str, ast.Query],
+        instrumentation: Optional[Instrumentation],
+        *,
+        workers: Optional[int],
+        limits: Optional[ResourceLimits],
+        cancel: Optional[Callable[[], Optional[str]]],
+        trace: Optional[Trace],
+    ) -> tuple[Result, ExecutionReport]:
+        """Run one query; ``instrumentation=None`` counts nothing unless
+        ``trace`` is given."""
         effective_workers = self._workers if workers is None else workers
         if not isinstance(effective_workers, int) or effective_workers < 1:
             raise ExecutionError(
@@ -337,8 +375,9 @@ class Executor:
             )
         else:
             analyzed, compiled, matcher_name, matcher = self._plan(query, diagnostics)
-        instrumentation = instrumentation or Instrumentation()
         if trace is not None:
+            if instrumentation is None:
+                instrumentation = Instrumentation()
             instrumentation.enable_detail()
         effective_limits = limits if limits is not None else self._limits
         budget = (
@@ -414,7 +453,9 @@ class Executor:
             clusters=clusters,
             clusters_searched=searched,
             rows_scanned=scanned,
-            predicate_tests=instrumentation.tests,
+            predicate_tests=(
+                instrumentation.tests if instrumentation is not None else 0
+            ),
             matches=match_count,
             pattern=compiled,
             diagnostics=diagnostics,
@@ -584,11 +625,11 @@ class Executor:
 
     def _search_cluster(
         self,
-        rows: list[dict[str, object]],
+        rows: Sequence[Mapping[str, object]],
         compiled: CompiledPattern,
         matcher_name: str,
         matcher: Matcher,
-        instrumentation: Instrumentation,
+        instrumentation: Optional[Instrumentation],
         budget: Optional[Budget],
         diagnostics: Diagnostics,
         trace: Optional[Trace] = None,
@@ -802,11 +843,11 @@ def _resolve_matcher(matcher: Union[str, Matcher]) -> tuple[str, Matcher]:
 
 
 def search_rows(
-    rows: list[dict[str, object]],
+    rows: Sequence[Mapping[str, object]],
     compiled: CompiledPattern,
     matcher_name: str,
     matcher: Matcher,
-    instrumentation: Instrumentation,
+    instrumentation: Optional[Instrumentation],
     budget: Optional[Budget],
     diagnostics: Diagnostics,
     policy: ErrorPolicy,
@@ -827,6 +868,7 @@ def search_rows(
     anything but ``"row"`` may materialize columnar truth arrays for
     this cluster and hand them to a kernel-aware matcher.  The default
     is ``"row"`` so existing callers keep the seed behaviour.
+    ``instrumentation=None`` counts no predicate tests.
     """
     kernels = _cluster_kernels(rows, compiled, matcher, evaluator, trace)
     aggregate = PatternSearchAggregate(
@@ -853,7 +895,7 @@ def search_rows(
 
 
 def _cluster_kernels(
-    rows: list[dict[str, object]],
+    rows: Sequence[Mapping[str, object]],
     compiled: CompiledPattern,
     matcher: Matcher,
     evaluator: str,
@@ -894,7 +936,9 @@ def _cluster_kernels(
     return kernels
 
 
-def _cluster_passes(analyzed: AnalyzedQuery, rows: list[dict[str, object]]) -> bool:
+def _cluster_passes(
+    analyzed: AnalyzedQuery, rows: Sequence[Mapping[str, object]]
+) -> bool:
     """Evaluate the hoisted cluster-invariant conditions on this cluster.
 
     The conditions only reference CLUSTER BY attributes, which are
@@ -913,7 +957,7 @@ def _cluster_passes(analyzed: AnalyzedQuery, rows: list[dict[str, object]]) -> b
 
 
 def _project(
-    analyzed: AnalyzedQuery, rows: list[dict[str, object]], match: Match
+    analyzed: AnalyzedQuery, rows: Sequence[Mapping[str, object]], match: Match
 ) -> tuple:
     bindings = {name: (span.start, span.end) for name, span in match.bindings().items()}
     return tuple(

@@ -220,6 +220,10 @@ class _WorkerPlan:
     policy: ErrorPolicy
     fallback: Optional[str]
     record_trace: bool
+    # Whether to count predicate tests at all: only when the caller asked
+    # (an Instrumentation or a trace); otherwise workers run the
+    # matchers' uncounted loops, as the serial path does.
+    count: bool = True
     # Flight-recorder mode: workers time each unit/partition and report
     # serialized span dicts (durations only — perf_counter origins do
     # not align across processes) for the parent to graft into its Trace.
@@ -270,7 +274,9 @@ def _run_unit(
     for partition_index, rows in partitions:
         if budget is not None and budget.tripped is not None:
             break
-        instrumentation = Instrumentation(record_trace=plan.record_trace)
+        instrumentation = (
+            Instrumentation(record_trace=plan.record_trace) if plan.count else None
+        )
         if record_spans:
             instrumentation.enable_detail()
             partition_started = time.perf_counter()
@@ -293,19 +299,21 @@ def _run_unit(
             error = (partition_index, type(exc).__name__, str(exc))
             error_obj = exc
             break
-        outcomes.append(
-            {
-                "partition": partition_index,
-                "rows": projected,
-                "tests": instrumentation.tests,
-                "skips": instrumentation.skips,
-                "skip_distance": instrumentation.skip_distance,
-                "tests_by_element": instrumentation.tests_by_element,
-                "trace": instrumentation.trace,
-                "matcher": matcher_name,
-                "downgrades": list(diagnostics.downgrades),
-            }
-        )
+        outcome = {
+            "partition": partition_index,
+            "rows": projected,
+            "matcher": matcher_name,
+            "downgrades": list(diagnostics.downgrades),
+        }
+        if instrumentation is not None:
+            outcome.update(
+                tests=instrumentation.tests,
+                skips=instrumentation.skips,
+                skip_distance=instrumentation.skip_distance,
+                tests_by_element=instrumentation.tests_by_element,
+                trace=instrumentation.trace,
+            )
+        outcomes.append(outcome)
         if record_spans:
             partition_spans.append(
                 {
@@ -366,6 +374,7 @@ def _plan_from_payload(payload: dict) -> _WorkerPlan:
         policy=ErrorPolicy.coerce(payload["policy"]),
         fallback=payload["fallback"],
         record_trace=payload["record_trace"],
+        count=payload.get("count", True),
         record_spans=payload.get("record_spans", False),
         evaluator=payload.get("evaluator", "row"),
     )
@@ -665,10 +674,9 @@ def _parallel_pass(
         )
         return result, report
 
-    instrumentation = (
-        instrumentation if instrumentation is not None else Instrumentation()
-    )
     if trace is not None:
+        if instrumentation is None:
+            instrumentation = Instrumentation()
         instrumentation.enable_detail()
     limits = limits if limits is not None else executor._limits
     budget = (
@@ -733,7 +741,10 @@ def _parallel_pass(
         matcher_name=matcher_name,
         policy=executor._policy,
         fallback=executor._fallback,
-        record_trace=instrumentation.trace is not None,
+        record_trace=(
+            instrumentation is not None and instrumentation.trace is not None
+        ),
+        count=instrumentation is not None,
         record_spans=trace is not None,
         evaluator=executor._evaluator,
     )
@@ -772,6 +783,7 @@ def _parallel_pass(
                     "fallback": executor._fallback,
                     "policy": executor._policy.value,
                     "record_trace": plan.record_trace,
+                    "count": plan.count,
                     "record_spans": plan.record_spans,
                     "evaluator": plan.evaluator,
                 }
@@ -822,17 +834,8 @@ def _parallel_pass(
     final_matcher = matcher_name
     capped = False
     for outcome in ordered_partition_outcomes(outcome_by_unit):
-        instrumentation.tests += outcome["tests"]
-        instrumentation.skips += outcome.get("skips", 0)
-        instrumentation.skip_distance += outcome.get("skip_distance", 0)
-        detail = outcome.get("tests_by_element")
-        if detail and instrumentation.tests_by_element is not None:
-            for position, count in detail.items():
-                instrumentation.tests_by_element[position] = (
-                    instrumentation.tests_by_element.get(position, 0) + count
-                )
-        if instrumentation.trace is not None and outcome["trace"]:
-            instrumentation.trace.extend(outcome["trace"])
+        if instrumentation is not None:
+            _merge_counts(instrumentation, outcome)
         if outcome["matcher"] != matcher_name:
             final_matcher = outcome["matcher"]
         for message in outcome["downgrades"]:
@@ -860,9 +863,26 @@ def _parallel_pass(
         clusters=clusters,
         clusters_searched=searched,
         rows_scanned=scanned,
-        predicate_tests=instrumentation.tests,
+        predicate_tests=(
+            instrumentation.tests if instrumentation is not None else 0
+        ),
         matches=match_count,
         pattern=compiled,
         diagnostics=diagnostics,
     )
     return Result(columns, output_rows, diagnostics), report
+
+
+def _merge_counts(instrumentation: Instrumentation, outcome: dict) -> None:
+    """Add one partition's predicate-test counts to the caller's."""
+    instrumentation.tests += outcome["tests"]
+    instrumentation.skips += outcome.get("skips", 0)
+    instrumentation.skip_distance += outcome.get("skip_distance", 0)
+    detail = outcome.get("tests_by_element")
+    if detail and instrumentation.tests_by_element is not None:
+        for position, count in detail.items():
+            instrumentation.tests_by_element[position] = (
+                instrumentation.tests_by_element.get(position, 0) + count
+            )
+    if instrumentation.trace is not None and outcome["trace"]:
+        instrumentation.trace.extend(outcome["trace"])

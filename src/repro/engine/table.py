@@ -9,6 +9,8 @@ strings, integers, floats, and dates — with ``int`` acceptable wherever
 from __future__ import annotations
 
 import datetime as _dt
+import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -99,27 +101,72 @@ class Schema:
         return f"Schema({body})"
 
 
-class Table:
-    """An insert-ordered bag of schema-validated rows."""
+class RowsView(Sequence):
+    """A read-only, live view of a table's rows.
 
-    __slots__ = ("name", "schema", "_rows")
+    Indexing, iteration and ``len`` read the table's current rows; there
+    is no way to add, remove or reorder them through the view, so every
+    change goes through :meth:`Table.insert` and moves the table's
+    ``version``.  Compares equal to a list or tuple of equal rows.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: list[dict[str, object]]):
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        return self._rows[index]  # a slice is a copy
+
+    def __iter__(self) -> Iterator[dict[str, object]]:
+        return iter(self._rows)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (list, tuple, RowsView)):
+            return list(self._rows) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+class Table:
+    """An insert-ordered bag of schema-validated rows.
+
+    ``version`` starts at 0 and moves on every insert.  Derived data —
+    the sorted clusters of :func:`repro.engine.cluster.sorted_clusters`
+    — is memoized against it, so it must move whenever the rows do.
+    """
+
+    __slots__ = ("name", "schema", "version", "_versions", "_cluster_memo", "_rows")
 
     def __init__(self, name: str, schema: Schema | Iterable[Column | tuple[str, str]]):
         self.name = name
         self.schema = schema if isinstance(schema, Schema) else Schema(schema)
+        self.version = 0
+        self._versions = itertools.count(1)
+        self._cluster_memo = None  # owned by repro.engine.cluster
         self._rows: list[dict[str, object]] = []
 
     def insert(self, row: Mapping[str, object]) -> None:
         self._rows.append(self.schema.validate_row(row))
+        # After the append, so a reader that sees the new version sees
+        # the row.  Each version is drawn once from a counter (atomic
+        # under the GIL) rather than read-modify-written, so concurrent
+        # inserts cannot lose a bump or bring back a version a reader
+        # has memoized.
+        self.version = next(self._versions)
 
     def insert_many(self, rows: Iterable[Mapping[str, object]]) -> None:
         for row in rows:
             self.insert(row)
 
     @property
-    def rows(self) -> list[dict[str, object]]:
-        """The live row list (treated as read-only by the executor)."""
-        return self._rows
+    def rows(self) -> RowsView:
+        """A read-only view of the rows, in insert order."""
+        return RowsView(self._rows)
 
     def __len__(self) -> int:
         return len(self._rows)

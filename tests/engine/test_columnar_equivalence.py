@@ -6,7 +6,10 @@ worker count, executing with ``evaluator="columnar"`` — against an
 in-memory table or an out-of-core mmap'd ``.rcol`` file — produces the
 same :class:`~repro.engine.result.Result`, the same instrumented
 predicate-test counts, the same skip accounting, the same diagnostics,
-and the same budget spend as the row-path oracle.  Hypothesis sweeps
+and the same budget spend as the row-path oracle.  A plain
+``execute()``, which counts nothing and so takes the matchers'
+uncounted loops, must return the oracle's rows and diagnostics.
+Hypothesis sweeps
 generated queries × random-walk tables across the full matrix, and a
 committed corpus (``tests/engine/data/columnar_corpus.json``) replays
 past findings deterministically.
@@ -132,6 +135,21 @@ def run(catalog, sql, *, matcher="ops", evaluator="row", workers=1, limits=None)
     return result, report, instrumentation
 
 
+def plain(catalog, sql, *, matcher="ops", evaluator="row", workers=1):
+    """A plain ``execute()``: no Instrumentation, so no test is counted
+    and the matchers take their uncounted loops."""
+    executor = Executor(
+        catalog,
+        domains=DOMAINS,
+        matcher=matcher,
+        evaluator=evaluator,
+        workers=workers,
+        parallel_mode="thread",
+    )
+    result = executor.execute(sql)
+    return result.columns, tuple(result.rows), result.diagnostics.to_dict()
+
+
 def fingerprint(result, report, instrumentation, detail=True):
     """Everything the equivalence contract pins, as one comparable value.
 
@@ -184,6 +202,22 @@ def assert_equivalent(table, sql, matchers=MATCHERS):
                     *run(catalog, sql, matcher=matcher), detail=False
                 )
                 assert parallel == oracle_nodetail, (matcher, "workers=4")
+                # Uncounted legs: rows and diagnostics match the oracle's.
+                result, _, _ = run(catalog, sql, matcher=matcher)
+                expected = (
+                    result.columns,
+                    tuple(result.rows),
+                    result.diagnostics.to_dict(),
+                )
+                for evaluator in ("row", "columnar", "auto"):
+                    got = plain(catalog, sql, matcher=matcher, evaluator=evaluator)
+                    assert got == expected, (matcher, evaluator, "plain")
+                got = plain(mapped_catalog, sql, matcher=matcher, evaluator="columnar")
+                assert got == expected, (matcher, "mmap", "plain")
+                got = plain(
+                    catalog, sql, matcher=matcher, evaluator="columnar", workers=4
+                )
+                assert got == expected, (matcher, "workers=4", "plain")
         finally:
             mapped.close()
 
